@@ -1,14 +1,11 @@
-//! Standard-scale throughput record: sequential vs. sharded execution.
+//! Standard-scale throughput record.
 //!
-//! This is the Standard-scale `BENCH_` entry carried as a ROADMAP follow-up
-//! since PR 5, recorded under model revision 2: every figure-4 design run at
-//! the Standard experiment geometry (16 cores, 32 MiB DRAM cache), once
-//! sequentially (`shards = 1`) and once through the sharded execution
-//! engine. Both runs must produce byte-identical `SimResult` JSON — the
-//! bench *asserts* this, so a green run doubles as an end-to-end
-//! equivalence check at full experiment geometry. Results are tracked
-//! PR-over-PR in `BENCH_standard.json` at the repository root; the CI
-//! perf-smoke job gates on it alongside `BENCH_hotpath.json`.
+//! Every figure-4 design run once at the Standard experiment geometry (16
+//! cores, 32 MiB DRAM cache), recording simulated instructions per
+//! wall-clock second together with the model revision the numbers belong
+//! to. Results are tracked PR-over-PR in `BENCH_standard.json` at the
+//! repository root; the CI perf-smoke job gates on it alongside
+//! `BENCH_hotpath.json`.
 //!
 //! ```text
 //! cargo bench -p banshee_bench --bench standard
@@ -19,9 +16,6 @@
 //! * `BANSHEE_STANDARD_INSTRUCTIONS` — measured instructions per run
 //!   (default 8,000,000, the Standard scale; warm-up always matches the
 //!   measured budget, as Standard experiments do). CI runs smaller.
-//! * `BANSHEE_STANDARD_SHARDS` — shard thread count for the sharded run
-//!   (default 4, clamped to the host's available parallelism with a
-//!   printed notice — a 1-thread host records speedup 1.0 honestly).
 //! * `BANSHEE_STANDARD_OUT` — output path for the JSON report (default
 //!   `BENCH_standard.json` at the workspace root).
 
@@ -33,22 +27,16 @@ use banshee_workloads::{SpecProgram, WorkloadKind};
 use serde::Serialize;
 use std::time::Instant;
 
-/// Sequential and sharded throughput of one design.
+/// Throughput of one design.
 #[derive(Debug, Clone, Serialize)]
 struct DesignRow {
     design: String,
     /// Simulated instructions per timed run (warm-up + measured phase).
     instructions: u64,
-    /// Sequential (`shards = 1`) wall-clock seconds.
-    sequential_seconds: f64,
-    /// Sequential simulated instructions per wall-clock second.
-    sequential_instr_per_sec: f64,
-    /// Sharded wall-clock seconds (same work, `shards` threads).
-    sharded_seconds: f64,
-    /// Sharded simulated instructions per wall-clock second.
-    sharded_instr_per_sec: f64,
-    /// Sharded speedup over sequential (1.0 on a single-thread host).
-    speedup: f64,
+    /// Wall-clock seconds of the run.
+    seconds: f64,
+    /// Simulated instructions per wall-clock second.
+    instr_per_sec: f64,
 }
 
 /// The whole report, written to `BENCH_standard.json`.
@@ -64,10 +52,6 @@ struct StandardReport {
     warmup_instructions: u64,
     /// Workload driven through every design.
     workload: String,
-    /// Shard threads requested for the sharded runs.
-    shards_requested: usize,
-    /// Shard threads actually used (clamped to the host).
-    shards_used: usize,
     /// The host's available parallelism when recorded.
     host_threads: usize,
     designs: Vec<DesignRow>,
@@ -80,34 +64,21 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Run one configuration to completion, returning wall-clock seconds and
-/// the result serialized to JSON (for the equivalence assertion).
-fn timed_run(cfg: SimConfig, runner: &Runner, kind: WorkloadKind, shards: usize) -> (f64, String) {
+/// Run one configuration to completion, returning wall-clock seconds.
+fn timed_run(cfg: SimConfig, runner: &Runner, kind: WorkloadKind) -> f64 {
     let workload = runner.workload(kind);
     let name = workload.name();
-    let mut system = System::new(cfg, &workload);
-    system.set_shards(shards);
+    let system = System::new(cfg, &workload);
     let t0 = Instant::now();
     let result = system.run(&name);
     let seconds = t0.elapsed().as_secs_f64();
     assert!(result.instructions > 0, "simulation ran no instructions");
-    (
-        seconds,
-        serde_json::to_string_pretty(&result).expect("result serializes"),
-    )
+    seconds
 }
 
 fn main() {
     let measured = env_u64("BANSHEE_STANDARD_INSTRUCTIONS", 8_000_000);
-    let shards_requested = env_u64("BANSHEE_STANDARD_SHARDS", 4).max(1) as usize;
     let host_threads = JobPool::available_workers();
-    let shards_used = shards_requested.min(host_threads).max(1);
-    if shards_used < shards_requested {
-        println!(
-            "note: clamped shards {shards_requested} -> {shards_used} \
-             ({host_threads} available thread(s))"
-        );
-    }
     let kind = WorkloadKind::Spec(SpecProgram::Mcf);
     let runner = Runner::new(ExperimentScale::Standard);
     let warmup = measured;
@@ -115,8 +86,7 @@ fn main() {
     let designs = DramCacheDesign::figure4_lineup();
     let mut rows = Vec::new();
     println!(
-        "standard: {measured} measured + {warmup} warm-up instructions per design, workload {}, \
-         sequential vs {shards_used} shard(s)",
+        "standard: {measured} measured + {warmup} warm-up instructions per design, workload {}",
         kind.name()
     );
     for design in designs {
@@ -124,36 +94,20 @@ fn main() {
         cfg.total_instructions = measured;
         cfg.warmup_instructions = warmup;
 
-        let (seq_seconds, seq_json) = timed_run(cfg.clone(), &runner, kind, 1);
-        let (shard_seconds, shard_json) = timed_run(cfg, &runner, kind, shards_used);
-        assert_eq!(
-            shard_json,
-            seq_json,
-            "{} diverged between sequential and {shards_used}-shard execution",
-            design.label()
-        );
-
+        let seconds = timed_run(cfg, &runner, kind);
         let total = measured + warmup;
-        let seq_ips = total as f64 / seq_seconds;
-        let shard_ips = total as f64 / shard_seconds;
-        let speedup = seq_seconds / shard_seconds;
+        let instr_per_sec = total as f64 / seconds;
         println!(
-            "  {:<24} seq {:>8.3} s ({:>12.0} instr/s)   sharded {:>8.3} s ({:>12.0} instr/s)   {:>5.2}x",
+            "  {:<24} {:>8.3} s ({:>12.0} instr/s)",
             design.label(),
-            seq_seconds,
-            seq_ips,
-            shard_seconds,
-            shard_ips,
-            speedup
+            seconds,
+            instr_per_sec
         );
         rows.push(DesignRow {
             design: design.label(),
             instructions: total,
-            sequential_seconds: seq_seconds,
-            sequential_instr_per_sec: seq_ips,
-            sharded_seconds: shard_seconds,
-            sharded_instr_per_sec: shard_ips,
-            speedup,
+            seconds,
+            instr_per_sec,
         });
     }
 
@@ -163,8 +117,6 @@ fn main() {
         measured_instructions: measured,
         warmup_instructions: warmup,
         workload: kind.name(),
-        shards_requested,
-        shards_used,
         host_threads,
         designs: rows,
     };

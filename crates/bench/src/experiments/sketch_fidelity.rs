@@ -182,9 +182,11 @@ pub fn run(runner: &Runner, workloads: &[WorkloadKind], widths: &[u32]) -> Sketc
             FrequencyBackendKind::Cms { width, .. } => Some(width),
         };
         let ordering_matches_exact = ordering == exact_ordering;
-        if let (Some(width), false, None) =
-            (width, ordering_matches_exact, fidelity.first_diverging_width)
-        {
+        if let (Some(width), false, None) = (
+            width,
+            ordering_matches_exact,
+            fidelity.first_diverging_width,
+        ) {
             fidelity.first_diverging_width = Some(width);
         }
         fidelity.backends.push(BackendFidelity {
@@ -216,7 +218,14 @@ pub fn report(runner: &Runner, workloads: &[WorkloadKind]) -> Vec<Table> {
     for b in &fidelity.backends {
         let mut row = vec![b.backend.clone()];
         row.extend(b.geomean_speedup.iter().map(|(_, gm)| fmt2(*gm)));
-        row.push(if b.ordering_matches_exact { "yes" } else { "NO" }.to_string());
+        row.push(
+            if b.ordering_matches_exact {
+                "yes"
+            } else {
+                "NO"
+            }
+            .to_string(),
+        );
         row.push(b.diverging_cells.to_string());
         row.push(format!("{:.2}%", b.max_rel_ipc_delta * 100.0));
         t.row(row);

@@ -44,9 +44,10 @@ pub const CMS_COUNTER_MAX: u64 = 15;
 /// Which frequency-tracking backend a simulation uses. This is
 /// configuration key material: its derived `Debug` form is embedded in
 /// `SimConfig::cache_key_material` whenever it is not the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrequencyBackendKind {
     /// Exact per-key counters and lane masks (hash maps). The default.
+    #[default]
     Exact,
     /// 4-bit CountMinSketch in 64-byte blocks.
     Cms {
@@ -56,12 +57,6 @@ pub enum FrequencyBackendKind {
         /// Independent hash rows (1..=4); the estimate is their minimum.
         depth: u32,
     },
-}
-
-impl Default for FrequencyBackendKind {
-    fn default() -> Self {
-        FrequencyBackendKind::Exact
-    }
 }
 
 /// Smallest accepted sketch width (one block segment per row).
@@ -344,7 +339,7 @@ impl FrequencyTracker for ExactTracker {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let read_map = |r: &mut SnapshotReader<'_>,
-                            what: &str|
+                        what: &str|
          -> Result<FnvHashMap<u64, u64>, SnapshotError> {
             let len = r.seq_len(16)?;
             let mut map = FnvHashMap::default();
@@ -644,10 +639,7 @@ mod tests {
             }
         );
         assert_eq!(cms.label(), "cms:4096x4");
-        assert_eq!(
-            FrequencyBackendKind::parse(&cms.label()).unwrap(),
-            cms
-        );
+        assert_eq!(FrequencyBackendKind::parse(&cms.label()).unwrap(), cms);
         assert_eq!(FrequencyBackendKind::default().label(), "exact");
     }
 

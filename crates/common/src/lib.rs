@@ -22,8 +22,6 @@
 //! * [`freq`] — the unified frequency-tracking API: a [`FrequencyTracker`]
 //!   trait over exact per-key counters and a bounded-memory 4-bit
 //!   CountMinSketch, selected by [`FrequencyBackendKind`].
-//! * [`spsc`] — bounded single-producer/single-consumer rings, the
-//!   allocation-free data plane of the sharded simulation loop.
 //! * [`telemetry`] — the time-resolved observability layer: an epoch-sampled
 //!   time series, a bounded ring of rare structured events, and wall-clock
 //!   self-profiling, all behind a zero-cost-when-off [`telemetry::Recorder`].
@@ -42,7 +40,6 @@ pub mod hash;
 pub mod persist;
 pub mod replay;
 pub mod rng;
-pub mod spsc;
 pub mod stats;
 pub mod telemetry;
 

@@ -61,7 +61,9 @@ fn section_labels_unique(tree: &Tree, diags: &mut Vec<Diagnostic>) {
             }
             let before = file.code[..lit.offset].trim_end();
             if !(before.ends_with("section(")
-                && before[..before.len() - "section(".len()].trim_end().ends_with('.'))
+                && before[..before.len() - "section(".len()]
+                    .trim_end()
+                    .ends_with('.'))
             {
                 continue;
             }
@@ -69,10 +71,7 @@ fn section_labels_unique(tree: &Tree, diags: &mut Vec<Diagnostic>) {
             calls.push((span, lit.text.clone(), line));
         }
         for (i, (span, label, line)) in calls.iter().enumerate() {
-            if calls[..i]
-                .iter()
-                .any(|(s, l, _)| s == span && l == label)
-            {
+            if calls[..i].iter().any(|(s, l, _)| s == span && l == label) {
                 emit(
                     diags,
                     CheckId::Governance,
@@ -216,11 +215,17 @@ fn parse_const(file: &SourceFile, name: &str) -> Option<(u32, usize)> {
             continue;
         }
         let rest = file.code[pos + name.len()..].trim_start();
-        let Some(rest) = rest.strip_prefix(':') else { continue };
+        let Some(rest) = rest.strip_prefix(':') else {
+            continue;
+        };
         let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix("u32") else { continue };
+        let Some(rest) = rest.strip_prefix("u32") else {
+            continue;
+        };
         let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix('=') else { continue };
+        let Some(rest) = rest.strip_prefix('=') else {
+            continue;
+        };
         let digits: String = rest
             .trim_start()
             .chars()

@@ -5,10 +5,10 @@
 //! `Debug` rendering of `SimConfig`, so a field is key material exactly
 //! when the `Debug` impl has a `.field("<name>", ..)` call for it. Fields
 //! that deliberately do *not* key the store — knobs that change how a
-//! result is computed but never what it is (`shards`, telemetry sinks) —
-//! must say so with a `// tidy: exec-knob` comment on or above the field.
-//! This turns the PR 8 convention ("shards must never be key material")
-//! into a machine-checked property: adding a field without deciding its
+//! result is computed but never what it is (telemetry sinks, for example)
+//! — must say so with a `// tidy: exec-knob` comment on or above the field.
+//! This turns the convention "execution knobs are never key material" into
+//! a machine-checked property: adding a field without deciding its
 //! key-material treatment fails tidy, deleting a `.field(...)` line without
 //! marking the field fails tidy, and a typoed `.field` name fails tidy.
 
@@ -179,7 +179,9 @@ fn struct_fields(file: &SourceFile, span: (usize, usize)) -> Vec<Field> {
     for line in first..last {
         let code = file.code_line(line).trim();
         let rest = code.strip_prefix("pub ").unwrap_or(code);
-        let Some(colon) = rest.find(':') else { continue };
+        let Some(colon) = rest.find(':') else {
+            continue;
+        };
         // `::` is a path, not a field declaration.
         if rest[colon..].starts_with("::") {
             continue;
@@ -206,7 +208,9 @@ fn field_has_exec_knob_marker(file: &SourceFile, line: usize) -> bool {
     let mut l = line;
     while l > 1 {
         l -= 1;
-        if !file.line_is_passive(l) || file.code_line(l).trim().is_empty() && file.comment_text(l).is_empty() {
+        if !file.line_is_passive(l)
+            || file.code_line(l).trim().is_empty() && file.comment_text(l).is_empty()
+        {
             break;
         }
         if file.comment_text(l).contains("tidy: exec-knob") {
@@ -228,7 +232,10 @@ fn debug_field_names(file: &SourceFile, span: (usize, usize)) -> Vec<(String, us
         // walking back over whitespace must land on `field(` preceded
         // by `.`.
         let before = file.code[..lit.offset].trim_end();
-        if before.ends_with("field(") && before[..before.len() - "field(".len()].trim_end().ends_with('.')
+        if before.ends_with("field(")
+            && before[..before.len() - "field(".len()]
+                .trim_end()
+                .ends_with('.')
         {
             out.push((lit.text.clone(), lit.line));
         }

@@ -61,9 +61,11 @@ pub const SIM_CRITICAL_CRATES: &[&str] = &[
 
 /// Is `rel_path` non-test source of a sim-critical crate?
 pub fn is_sim_critical_src(rel_path: &str) -> bool {
-    SIM_CRITICAL_CRATES
-        .iter()
-        .any(|c| rel_path.strip_prefix(c).is_some_and(|r| r.starts_with("/src/")))
+    SIM_CRITICAL_CRATES.iter().any(|c| {
+        rel_path
+            .strip_prefix(c)
+            .is_some_and(|r| r.starts_with("/src/"))
+    })
 }
 
 /// Outcome of looking for a `// tidy: allow(<name>)` marker near a line.
@@ -139,7 +141,10 @@ fn ident_back(code: &[u8], pos: usize) -> (usize, String) {
     while start > 0 && is_ident_char(code[start - 1] as char) && code[start - 1].is_ascii() {
         start -= 1;
     }
-    (start, String::from_utf8_lossy(&code[start..pos]).into_owned())
+    (
+        start,
+        String::from_utf8_lossy(&code[start..pos]).into_owned(),
+    )
 }
 
 /// Reconstruct the `::`-separated path segments preceding `pos`, crossing
@@ -204,13 +209,7 @@ pub fn path_prefix_before(code: &str, pos: usize) -> Vec<String> {
 }
 
 /// Push a diagnostic.
-pub fn emit(
-    diags: &mut Vec<Diagnostic>,
-    check: CheckId,
-    path: &str,
-    line: usize,
-    message: String,
-) {
+pub fn emit(diags: &mut Vec<Diagnostic>, check: CheckId, path: &str, line: usize, message: String) {
     diags.push(Diagnostic {
         check,
         path: path.to_string(),

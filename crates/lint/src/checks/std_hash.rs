@@ -8,7 +8,9 @@
 //! legitimate exception (the Fnv definition site itself) carries a
 //! `// tidy: allow(std-hash): <justification>` marker.
 
-use super::{allow_marker, emit, is_sim_critical_src, path_prefix_before, word_occurrences, Marker, Tree};
+use super::{
+    allow_marker, emit, is_sim_critical_src, path_prefix_before, word_occurrences, Marker, Tree,
+};
 use crate::diag::{CheckId, Diagnostic};
 
 /// The forbidden std collection type names.

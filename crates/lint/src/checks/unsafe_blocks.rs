@@ -82,9 +82,8 @@ mod tests {
 
     #[test]
     fn documented_unsafe_passes() {
-        let lines = run_on(
-            "// SAFETY: the slot is exclusively owned here.\nunsafe { ptr.write(v) };\n",
-        );
+        let lines =
+            run_on("// SAFETY: the slot is exclusively owned here.\nunsafe { ptr.write(v) };\n");
         assert!(lines.is_empty(), "{lines:?}");
     }
 

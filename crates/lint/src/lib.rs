@@ -53,7 +53,9 @@ pub fn run(root: &Path, only: &[CheckId]) -> io::Result<Report> {
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.check, &a.message).cmp(&(&b.path, b.line, b.check, &b.message))
     });
-    diagnostics.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.check == b.check && a.message == b.message);
+    diagnostics.dedup_by(|a, b| {
+        a.path == b.path && a.line == b.line && a.check == b.check && a.message == b.message
+    });
     Ok(Report {
         checks_run: selected,
         files_scanned: tree.files.len(),

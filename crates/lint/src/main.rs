@@ -90,7 +90,8 @@ fn run() -> Result<bool, String> {
         }
     };
 
-    let report = banshee_lint::run(&root, &only).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    let report =
+        banshee_lint::run(&root, &only).map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     for d in &report.diagnostics {
         println!("{d}");

@@ -60,9 +60,9 @@ pub fn unix_path(p: &Path) -> String {
 /// True for files that are test/bench/example code by location: anything
 /// under a `tests/`, `benches/` or `examples/` directory.
 pub fn is_test_path(rel_path: &str) -> bool {
-    rel_path.split('/').any(|seg| {
-        seg == "tests" || seg == "benches" || seg == "examples"
-    })
+    rel_path
+        .split('/')
+        .any(|seg| seg == "tests" || seg == "benches" || seg == "examples")
 }
 
 #[cfg(test)]

@@ -119,7 +119,10 @@ fn cli_exit_codes_and_json() {
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert!(stdout.contains("\"diagnostic_count\": 14"), "{stdout}");
-    assert!(stdout.contains("crates/sim/src/lib.rs:2: [std-hash]"), "{stdout}");
+    assert!(
+        stdout.contains("crates/sim/src/lib.rs:2: [std-hash]"),
+        "{stdout}"
+    );
 
     let clean = std::process::Command::new(bin)
         .args(["--root"])

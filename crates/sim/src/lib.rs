@@ -20,7 +20,6 @@ pub mod config;
 pub mod core_model;
 pub mod factory;
 pub mod result;
-mod shard;
 pub mod system;
 
 pub use config::SimConfig;

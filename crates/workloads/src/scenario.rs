@@ -1166,9 +1166,8 @@ fn parse_overrides(value: &Value) -> Result<ScenarioOverrides, ScenarioError> {
     if let Some(v) = get(obj, "frequency_backend") {
         let path = format!("{p}.frequency_backend");
         let label = as_string(v, &path)?;
-        o.frequency_backend = Some(
-            banshee_common::FrequencyBackendKind::parse(&label).map_err(|e| err(&path, e))?,
-        );
+        o.frequency_backend =
+            Some(banshee_common::FrequencyBackendKind::parse(&label).map_err(|e| err(&path, e))?);
     }
     Ok(o)
 }
