@@ -34,8 +34,6 @@ pub struct ScenarioCellResult {
     pub page_policy: Option<String>,
     /// Swept DRAM write-queue depth, if the sweep has that axis.
     pub write_queue_depth: Option<u64>,
-    /// Swept frequency-tracking backend label, if the sweep has that axis.
-    pub frequency_backend: Option<String>,
     /// The simulation result.
     pub result: SimResult,
 }
@@ -74,8 +72,6 @@ pub struct CellCoords {
     pub page_policy: Option<String>,
     /// Swept DRAM write-queue depth, if that axis is present.
     pub write_queue_depth: Option<u64>,
-    /// Swept frequency-tracking backend label, if that axis is present.
-    pub frequency_backend: Option<String>,
 }
 
 /// Resolve the designs a scenario runs under: its own list, parsed and
@@ -134,16 +130,6 @@ pub fn expand_cells(
             .map(|&d| Some(d))
             .collect()
     };
-    let freq_backends: Vec<Option<banshee_common::FrequencyBackendKind>> =
-        if spec.sweep.frequency_backends.is_empty() {
-            vec![None]
-        } else {
-            spec.sweep
-                .frequency_backends
-                .iter()
-                .map(|&b| Some(b))
-                .collect()
-        };
     let mut cells = Vec::new();
     for entry in &spec.workloads {
         for design in &designs {
@@ -151,57 +137,48 @@ pub fn expand_cells(
                 for &seed in &spec.sweep.seeds {
                     for &policy in &page_policies {
                         for &depth in &wq_depths {
-                            for &backend in &freq_backends {
-                                let mut overrides = spec.overrides.clone();
-                                if policy.is_some() {
-                                    overrides.dram_page_policy = policy;
-                                }
-                                if depth.is_some() {
-                                    overrides.dram_write_queue_depth = depth;
-                                }
-                                if backend.is_some() {
-                                    overrides.frequency_backend = backend;
-                                }
-                                let mut config = runner.config(*design);
-                                config.apply_scenario_overrides(&overrides);
-                                config.seed = seed;
-                                let footprint = entry_footprint(
-                                    entry,
-                                    config.dcache.capacity.as_bytes(),
-                                    factor,
-                                );
-                                let instance = entry.spec.instantiate(footprint, seed);
-                                let key_material = format!(
-                                    "banshee-scenario-cell-v1|{}|{}",
-                                    instance.key_material(),
-                                    config.cache_key_material()
-                                );
-                                let coords = CellCoords {
-                                    workload: entry.spec.display_name(),
-                                    design: config.design.label(),
-                                    footprint_factor: factor,
-                                    footprint_bytes: footprint,
-                                    seed,
-                                    page_policy: policy.map(|p| p.label().to_string()),
-                                    write_queue_depth: depth.map(|d| d as u64),
-                                    frequency_backend: backend.map(|b| b.label()),
-                                };
-                                cells.push((
-                                    coords.clone(),
-                                    PreparedCell {
-                                        workload_label: coords.workload.clone(),
-                                        design_label: coords.design.clone(),
-                                        key_material,
-                                        // The instance key covers the scenario
-                                        // workload's full trace-shaping content,
-                                        // so same-named workloads from different
-                                        // scenario files never share an image.
-                                        workload_ident: instance.key_material(),
-                                        config,
-                                        factory: Arc::new(instance),
-                                    },
-                                ));
+                            let mut overrides = spec.overrides.clone();
+                            if policy.is_some() {
+                                overrides.dram_page_policy = policy;
                             }
+                            if depth.is_some() {
+                                overrides.dram_write_queue_depth = depth;
+                            }
+                            let mut config = runner.config(*design);
+                            config.apply_scenario_overrides(&overrides);
+                            config.seed = seed;
+                            let footprint =
+                                entry_footprint(entry, config.dcache.capacity.as_bytes(), factor);
+                            let instance = entry.spec.instantiate(footprint, seed);
+                            let key_material = format!(
+                                "banshee-scenario-cell-v1|{}|{}",
+                                instance.key_material(),
+                                config.cache_key_material()
+                            );
+                            let coords = CellCoords {
+                                workload: entry.spec.display_name(),
+                                design: config.design.label(),
+                                footprint_factor: factor,
+                                footprint_bytes: footprint,
+                                seed,
+                                page_policy: policy.map(|p| p.label().to_string()),
+                                write_queue_depth: depth.map(|d| d as u64),
+                            };
+                            cells.push((
+                                coords.clone(),
+                                PreparedCell {
+                                    workload_label: coords.workload.clone(),
+                                    design_label: coords.design.clone(),
+                                    key_material,
+                                    // The instance key covers the scenario
+                                    // workload's full trace-shaping content,
+                                    // so same-named workloads from different
+                                    // scenario files never share an image.
+                                    workload_ident: instance.key_material(),
+                                    config,
+                                    factory: Arc::new(instance),
+                                },
+                            ));
                         }
                     }
                 }
@@ -244,7 +221,6 @@ pub fn run(runner: &Runner, spec: &ScenarioSpec) -> Result<ScenarioReport, Strin
             seed: c.seed,
             page_policy: c.page_policy,
             write_queue_depth: c.write_queue_depth,
-            frequency_backend: c.frequency_backend,
             result,
         })
         .collect();
@@ -272,7 +248,6 @@ pub fn tables(report: &ScenarioReport) -> Vec<Table> {
             "seed",
             "page",
             "wq",
-            "freq",
             "IPC",
             "MPKI",
             "miss rate",
@@ -297,9 +272,6 @@ pub fn tables(report: &ScenarioReport) -> Vec<Table> {
             c.page_policy.clone().unwrap_or_else(|| "-".to_string()),
             c.write_queue_depth
                 .map(|d| d.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            c.frequency_backend
-                .clone()
                 .unwrap_or_else(|| "-".to_string()),
             fmt2(c.result.ipc()),
             fmt2(c.result.mpki()),
@@ -359,33 +331,6 @@ mod tests {
         let (c0, p0) = &cells[0];
         assert_eq!(c0.footprint_bytes, p0.config.dcache.capacity.as_bytes() * 2);
         assert_eq!(p0.config.seed, c0.seed);
-    }
-
-    #[test]
-    fn frequency_backend_axis_expands_and_rekeys() {
-        let spec = smoke_spec(
-            r#"{
-            "name": "m",
-            "workloads": [{"type": "builtin", "name": "gcc"}],
-            "designs": ["Banshee"],
-            "sweep": {"frequency_backends": ["exact", "cms:4096x4"]}
-        }"#,
-        );
-        let runner = Runner::new(ExperimentScale::Smoke);
-        let cells = expand_cells(&runner, &spec).unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_ne!(cells[0].1.key_material, cells[1].1.key_material);
-        assert_eq!(cells[0].0.frequency_backend.as_deref(), Some("exact"));
-        assert_eq!(cells[1].0.frequency_backend.as_deref(), Some("cms:4096x4"));
-        // The explicit "exact" sweep point keys identically to a scenario
-        // that never mentions the knob: both are the same simulation.
-        let plain = smoke_spec(
-            r#"{"name": "m", "workloads": [{"type": "builtin", "name": "gcc"}],
-                "designs": ["Banshee"]}"#,
-        );
-        let plain_cells = expand_cells(&runner, &plain).unwrap();
-        assert_eq!(plain_cells[0].1.key_material, cells[0].1.key_material);
-        assert_eq!(plain_cells[0].0.frequency_backend, None);
     }
 
     #[test]

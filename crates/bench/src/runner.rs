@@ -318,9 +318,6 @@ pub struct Runner {
     /// each cell actually emits telemetry; results are byte-identical
     /// either way.
     pub telemetry: Option<TelemetryOptions>,
-    /// Frequency-tracking backend applied to every cell's configuration
-    /// (`--freq-backend` / `BANSHEE_FREQ_BACKEND`; exact by default).
-    pub frequency_backend: banshee_common::FrequencyBackendKind,
     /// Tallies of simulated vs. store-resumed cells (shared across clones).
     pub counters: RunnerCounters,
 }
@@ -337,16 +334,8 @@ impl Runner {
             snapshots: true,
             progress: false,
             telemetry: None,
-            frequency_backend: banshee_common::FrequencyBackendKind::Exact,
             counters: RunnerCounters::default(),
         }
-    }
-
-    /// Track page/line access frequencies with `backend` in every cell
-    /// (exact hash maps by default; non-default backends re-key the store).
-    pub fn with_frequency_backend(mut self, backend: banshee_common::FrequencyBackendKind) -> Self {
-        self.frequency_backend = backend;
-        self
     }
 
     /// Use `jobs` worker threads (`0` = available parallelism).
@@ -396,7 +385,6 @@ impl Runner {
         cfg.total_instructions = self.scale.instructions();
         cfg.warmup_instructions = self.scale.warmup_instructions();
         cfg.seed = self.seed;
-        cfg.frequency_backend = self.frequency_backend;
         cfg
     }
 
@@ -1010,20 +998,5 @@ mod tests {
             a,
             runner.cell_key_material(&cfg, WorkloadKind::Spec(SpecProgram::Gcc))
         );
-        // A sketch backend is a different store cell; the exact default
-        // reproduces historical keys.
-        let sketch = Runner::new(ExperimentScale::Smoke).with_frequency_backend(
-            banshee_common::FrequencyBackendKind::Cms {
-                width: 4096,
-                depth: 4,
-            },
-        );
-        let d = sketch.cell_key_material(
-            &sketch.config(DramCacheDesign::Banshee),
-            WorkloadKind::Spec(SpecProgram::Gcc),
-        );
-        assert_ne!(a, d);
-        assert!(!a.contains("frequency_backend"));
-        assert!(d.contains("frequency_backend"));
     }
 }

@@ -19,9 +19,6 @@
 //! * [`config`] — capacity/latency helper constructors and a few
 //!   configuration structs shared between the DRAM model and the system
 //!   simulator.
-//! * [`freq`] — the unified frequency-tracking API: a [`FrequencyTracker`]
-//!   trait over exact per-key counters and a bounded-memory 4-bit
-//!   CountMinSketch, selected by [`FrequencyBackendKind`].
 //! * [`telemetry`] — the time-resolved observability layer: an epoch-sampled
 //!   time series, a bounded ring of rare structured events, and wall-clock
 //!   self-profiling, all behind a zero-cost-when-off [`telemetry::Recorder`].
@@ -35,7 +32,6 @@
 pub mod addr;
 pub mod config;
 pub mod fastdiv;
-pub mod freq;
 pub mod hash;
 pub mod persist;
 pub mod replay;
@@ -46,10 +42,6 @@ pub mod telemetry;
 pub use addr::{Addr, LineAddr, PageNum, CACHE_LINE_SIZE, LARGE_PAGE_SIZE, PAGE_SIZE};
 pub use config::{CyclesPerSec, MemSize};
 pub use fastdiv::FastDivMod;
-pub use freq::{
-    restore_tracker, save_tracker, CountMinSketch, ExactTracker, FrequencyBackendKind,
-    FrequencyTracker,
-};
 pub use hash::{fnv1a64, FnvHashMap, FnvHashSet, FnvHasher};
 pub use persist::{
     Persist, SnapshotError, SnapshotHeader, SnapshotReader, SnapshotWriter, SNAPSHOT_FORMAT,

@@ -26,7 +26,7 @@
 //! so that `save → restore → save` is byte-identical (the round-trip
 //! property the snapshot tests enforce).
 
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, FnvHashMap};
 use std::fmt;
 
 /// Leading magic bytes of a snapshot image.
@@ -38,7 +38,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BSHSNAP\0";
 /// a layout shift would otherwise misalign every downstream section.
 /// Format 2: frequency-tracker images replaced the raw per-page count/mask
 /// maps inside HMA, the footprint predictor and FBR.
-pub const SNAPSHOT_FORMAT: u32 = 2;
+/// Format 3: the tracker images are gone again: HMA's counts and the
+/// footprint predictor's line masks are plain sorted `u64 → u64` maps
+/// ([`SnapshotWriter::u64_map`]), and FBR no longer writes an admission flag.
+pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// Everything that can go wrong decoding a snapshot. Mirrors the typed
 /// errors of `trace_file.rs`: every variant is actionable and none panics.
@@ -294,6 +297,18 @@ impl SnapshotWriter {
             f(self, item);
         }
     }
+
+    /// Write a `u64 → u64` map as a length-framed sequence of key/value
+    /// pairs in ascending key order, so the image does not depend on the
+    /// map's iteration order. Read back with [`SnapshotReader::u64_map`].
+    pub fn u64_map(&mut self, map: &FnvHashMap<u64, u64>) {
+        let mut entries: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        self.seq_with(&entries, |w, &(k, v)| {
+            w.u64(k);
+            w.u64(v);
+        });
+    }
 }
 
 /// Decodes a snapshot image: primitive values and length-framed sections,
@@ -463,6 +478,21 @@ impl<'a> SnapshotReader<'a> {
         }
         Ok(out)
     }
+
+    /// Read a map written by [`SnapshotWriter::u64_map`]. A repeated key is
+    /// [`SnapshotError::Corrupt`] naming `what` the map holds.
+    pub fn u64_map(&mut self, what: &str) -> Result<FnvHashMap<u64, u64>, SnapshotError> {
+        let len = self.seq_len(16)?;
+        let mut map = FnvHashMap::default();
+        for _ in 0..len {
+            let k = self.u64()?;
+            let v = self.u64()?;
+            if map.insert(k, v).is_some() {
+                return Err(SnapshotError::Corrupt(format!("duplicate {what} key {k}")));
+            }
+        }
+        Ok(map)
+    }
 }
 
 impl Persist for u64 {
@@ -568,6 +598,7 @@ impl<T: Persist> Persist for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn header() -> SnapshotHeader {
         SnapshotHeader {
@@ -710,5 +741,45 @@ mod tests {
         assert_eq!(Option::<u64>::restore(&mut r).unwrap(), None);
         assert_eq!(Vec::<u64>::restore(&mut r).unwrap(), vec![1, 2, 3]);
         assert!(r.is_exhausted());
+    }
+
+    fn map_image(map: &FnvHashMap<u64, u64>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.u64_map(map);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn u64_map_rejects_duplicate_keys() {
+        let mut w = SnapshotWriter::new();
+        w.seq_with(&[(7u64, 1u64), (7, 2)], |w, &(k, v)| {
+            w.u64(k);
+            w.u64(v);
+        });
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        let e = r.u64_map("count").unwrap_err();
+        assert!(matches!(e, SnapshotError::Corrupt(_)), "{e}");
+        assert!(e.to_string().contains("duplicate count key 7"), "{e}");
+    }
+
+    proptest! {
+        /// save → restore → save is byte-identical whatever order the map
+        /// was built in, and a truncated image is a typed error.
+        #[test]
+        fn prop_u64_map_round_trip(
+            entries in proptest::collection::vec((0u64..500, 0u64..1_000_000), 0..120),
+        ) {
+            let map: FnvHashMap<u64, u64> = entries.iter().copied().collect();
+            let bytes = map_image(&map);
+            let mut r = SnapshotReader::new(&bytes);
+            let back = r.u64_map("count").unwrap();
+            prop_assert!(r.is_exhausted());
+            prop_assert_eq!(&back, &map);
+            prop_assert_eq!(map_image(&back), bytes.clone());
+            // Truncation strictly inside the image is a typed error.
+            let mut r = SnapshotReader::new(&bytes[..bytes.len() / 2]);
+            prop_assert!(r.u64_map("count").is_err());
+        }
     }
 }

@@ -107,17 +107,7 @@ impl BansheeController {
 
     /// Build a specific variant (ablations of Figure 7).
     pub fn with_variant(config: BansheeConfig, variant: BansheeVariant) -> Self {
-        Self::with_variant_backend(config, variant, banshee_common::FrequencyBackendKind::Exact)
-    }
-
-    /// Build a specific variant whose replacement engine feeds frequencies
-    /// through the given backend (`exact` keeps the historical behaviour).
-    pub fn with_variant_backend(
-        config: BansheeConfig,
-        variant: BansheeVariant,
-        backend: banshee_common::FrequencyBackendKind,
-    ) -> Self {
-        let mut fbr = FrequencyReplacement::with_backend(&config, backend);
+        let mut fbr = FrequencyReplacement::new(&config);
         if variant == BansheeVariant::FbrNoSample {
             fbr.set_force_sample(true);
         }
@@ -560,11 +550,6 @@ impl DramCacheController for BansheeController {
         let tb_hits: u64 = self.tag_buffers.iter().map(|t| t.hits()).sum();
         s.add("banshee_tag_buffer_lookups", tb_lookups);
         s.add("banshee_tag_buffer_hits", tb_hits);
-        // Sketch-shape stats only exist off the default backend, so the
-        // exact path's stat set (and its golden fixtures) stays unchanged.
-        if let Some(tracker) = self.fbr.admission_tracker() {
-            s.add("banshee_freq_memory_bytes", tracker.memory_bytes());
-        }
         s
     }
 
@@ -598,9 +583,6 @@ impl DramCacheController for BansheeController {
         out.push(("fbr_sampled_accesses", self.fbr.sampled_accesses() as f64));
         out.push(("replacements", self.replacements as f64));
         out.push(("pte_updates", self.coherence.pte_updates() as f64));
-        if let Some(tracker) = self.fbr.admission_tracker() {
-            tracker.gauges(out);
-        }
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {

@@ -22,7 +22,6 @@
 
 use crate::config::BansheeConfig;
 use crate::metadata::{CacheSetMetadata, MetadataEntry};
-use banshee_common::freq::{restore_tracker, save_tracker, FrequencyBackendKind, FrequencyTracker};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::XorShiftRng;
 
@@ -81,38 +80,20 @@ pub struct FrequencyReplacement {
     /// "Banshee FBR no sample" ablation of Figure 7 (and CHOP-like designs).
     force_sample: bool,
     rng: XorShiftRng,
-    /// Optional sketch-backed admission feed (the `cms` frequency backend):
-    /// every sampled access is also recorded here, and a page entering the
-    /// candidate array starts from its sketch estimate instead of 1, so
-    /// frequency history survives candidate-slot eviction. `None` on the
-    /// default `exact` backend — the per-set metadata counters already *are*
-    /// the exact feed, and behaviour stays byte-identical.
-    admission: Option<Box<dyn FrequencyTracker>>,
     sampled_accesses: u64,
     replacements: u64,
     counter_halvings: u64,
 }
 
 impl FrequencyReplacement {
-    /// Build from the Banshee configuration (exact counting).
+    /// Build from the Banshee configuration.
     pub fn new(config: &BansheeConfig) -> Self {
-        Self::with_backend(config, FrequencyBackendKind::Exact)
-    }
-
-    /// Build from the Banshee configuration on the given frequency backend.
-    /// `exact` keeps the historical metadata-only counting; `cms` adds the
-    /// sketch-backed admission feed.
-    pub fn with_backend(config: &BansheeConfig, backend: FrequencyBackendKind) -> Self {
-        let mut fbr = Self::with_params(
+        Self::with_params(
             config.sampling_coefficient,
             config.threshold(),
             config.max_count(),
             false,
-        );
-        if matches!(backend, FrequencyBackendKind::Cms { .. }) {
-            fbr.admission = Some(backend.build());
-        }
-        fbr
+        )
     }
 
     /// Build with explicit parameters (used by tests and the no-sampling
@@ -131,7 +112,6 @@ impl FrequencyReplacement {
             max_count,
             force_sample,
             rng: XorShiftRng::new(0xFBF0),
-            admission: None,
             sampled_accesses: 0,
             replacements: 0,
             counter_halvings: 0,
@@ -185,9 +165,6 @@ impl FrequencyReplacement {
             return FbrDecision::NotSampled;
         }
         self.sampled_accesses += 1;
-        if let Some(tracker) = self.admission.as_mut() {
-            tracker.record(unit);
-        }
 
         // Lines 5–16: the page is already tracked.
         if let Some(way) = set.find_cached(unit) {
@@ -240,13 +217,11 @@ impl FrequencyReplacement {
         }
 
         // Lines 17–23: the page is not tracked — try to claim a candidate
-        // slot. With the sketch feed, the new candidate resumes from its
-        // estimated frequency instead of restarting at 1.
-        let initial_count = self.admission_count(unit);
+        // slot, starting its counter at 1.
         if let Some(free_slot) = set.candidates.iter().position(|e| !e.valid) {
             set.candidates[free_slot] = MetadataEntry {
                 unit,
-                count: initial_count,
+                count: 1,
                 valid: true,
             };
             return FbrDecision::CandidateInserted { slot: free_slot };
@@ -256,31 +231,13 @@ impl FrequencyReplacement {
         if self.rng.chance(1.0 / victim_count as f64) {
             set.candidates[victim_slot] = MetadataEntry {
                 unit,
-                count: initial_count,
+                count: 1,
                 valid: true,
             };
             FbrDecision::CandidateInserted { slot: victim_slot }
         } else {
             FbrDecision::CandidateRejected
         }
-    }
-
-    /// The starting counter for a freshly inserted candidate: 1 on the
-    /// exact path, the sketch estimate (clamped so it cannot trigger an
-    /// immediate halve) on the sketch path.
-    fn admission_count(&self, unit: u64) -> u32 {
-        match self.admission.as_ref() {
-            None => 1,
-            Some(tracker) => {
-                let cap = u64::from(self.max_count.saturating_sub(1)).max(1);
-                tracker.estimate(unit).clamp(1, cap) as u32
-            }
-        }
-    }
-
-    /// The sketch-backed admission tracker, if the `cms` backend is active.
-    pub fn admission_tracker(&self) -> Option<&dyn FrequencyTracker> {
-        self.admission.as_deref()
     }
 
     /// Apply the saturating-counter rule: when any counter reaches the
@@ -303,13 +260,6 @@ impl Persist for FrequencyReplacement {
         w.u32(self.max_count);
         w.bool(self.force_sample);
         self.rng.save(w);
-        match self.admission.as_ref() {
-            None => w.bool(false),
-            Some(tracker) => {
-                w.bool(true);
-                save_tracker(tracker.as_ref(), w);
-            }
-        }
         w.u64(self.sampled_accesses);
         w.u64(self.replacements);
         w.u64(self.counter_halvings);
@@ -332,11 +282,6 @@ impl Persist for FrequencyReplacement {
             max_count,
             force_sample: r.bool()?,
             rng: XorShiftRng::restore(r)?,
-            admission: if r.bool()? {
-                Some(restore_tracker(r)?)
-            } else {
-                None
-            },
             sampled_accesses: r.u64()?,
             replacements: r.u64()?,
             counter_halvings: r.u64()?,
@@ -541,76 +486,6 @@ mod tests {
         }
         assert_eq!(s, before);
         assert_eq!(f.sampled_accesses(), 0);
-    }
-
-    #[test]
-    fn sketch_admission_seeds_candidates_from_history() {
-        let config = BansheeConfig::paper_default();
-        let backend = FrequencyBackendKind::Cms {
-            width: 4096,
-            depth: 4,
-        };
-        let mut f = FrequencyReplacement::with_backend(&config, backend);
-        f.set_force_sample(true);
-        assert!(f.admission_tracker().is_some());
-        // Phase 1: page 7 earns history in one set (every sampled access is
-        // recorded in the sketch).
-        let mut a = set();
-        for _ in 0..6 {
-            f.on_access(&mut a, 7, 1.0);
-        }
-        // Phase 2: in a fresh set the page is untracked, but its candidate
-        // counter resumes from the sketch estimate instead of 1.
-        let mut b = set();
-        let d = f.on_access(&mut b, 7, 1.0);
-        let FbrDecision::CandidateInserted { slot } = d else {
-            panic!("expected a candidate insertion, got {d:?}");
-        };
-        assert!(
-            b.candidates[slot].count >= 7,
-            "candidate count {} should carry the sketch history",
-            b.candidates[slot].count
-        );
-
-        // The exact path starts from 1, as Algorithm 1 writes it.
-        let mut exact = FrequencyReplacement::new(&config);
-        exact.set_force_sample(true);
-        assert!(exact.admission_tracker().is_none());
-        let mut c = set();
-        let FbrDecision::CandidateInserted { slot } = exact.on_access(&mut c, 7, 1.0) else {
-            panic!("expected a candidate insertion");
-        };
-        assert_eq!(c.candidates[slot].count, 1);
-    }
-
-    #[test]
-    fn admission_tracker_round_trips() {
-        let config = BansheeConfig::paper_default();
-        let backend = FrequencyBackendKind::Cms {
-            width: 256,
-            depth: 2,
-        };
-        let mut f = FrequencyReplacement::with_backend(&config, backend);
-        f.set_force_sample(true);
-        let mut s = set();
-        for unit in 0..40u64 {
-            f.on_access(&mut s, unit % 9, 1.0);
-        }
-        let snap = |f: &FrequencyReplacement| {
-            let mut w = SnapshotWriter::new();
-            f.save(&mut w);
-            w.into_bytes()
-        };
-        let bytes = snap(&f);
-        let mut r = SnapshotReader::new(&bytes);
-        let back = FrequencyReplacement::restore(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(snap(&back), bytes);
-        assert!(back.admission_tracker().is_some());
-        assert_eq!(
-            back.admission_tracker().unwrap().estimate(5),
-            f.admission_tracker().unwrap().estimate(5)
-        );
     }
 
     #[test]

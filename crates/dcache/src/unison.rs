@@ -54,15 +54,6 @@ pub struct UnisonCache {
 impl UnisonCache {
     /// Build a Unison Cache with the configured geometry (4-way by default).
     pub fn new(config: &DCacheConfig) -> Self {
-        Self::with_backend(config, banshee_common::FrequencyBackendKind::Exact)
-    }
-
-    /// Build a Unison Cache whose footprint predictor tracks touched lines
-    /// on the given frequency backend.
-    pub fn with_backend(
-        config: &DCacheConfig,
-        backend: banshee_common::FrequencyBackendKind,
-    ) -> Self {
         let sets = config.page_sets().max(1) as usize;
         UnisonCache {
             sets: vec![vec![PageWay::default(); config.ways]; sets],
@@ -70,7 +61,7 @@ impl UnisonCache {
             set_div: FastDivMod::new(sets as u64),
             clock: 0,
             demand: DemandStats::new(4096),
-            footprint: FootprintPredictor::with_backend(config.footprint_granularity, backend),
+            footprint: FootprintPredictor::new(config.footprint_granularity),
             fills: 0,
             dirty_lines_written_back: 0,
         }
@@ -248,7 +239,10 @@ impl DramCacheController for UnisonCache {
         out.push(("recent_miss_rate", self.demand.recent_miss_rate()));
         out.push(("fills", self.fills as f64));
         out.push(("mean_footprint_lines", self.footprint.mean_footprint()));
-        self.footprint.tracker_gauges(out);
+        out.push((
+            "freq_tracked_lane_keys",
+            self.footprint.tracked_pages() as f64,
+        ));
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -305,15 +299,7 @@ impl DramCacheController for UnisonCache {
             }
         }
         self.demand = DemandStats::restore(r)?;
-        let footprint = FootprintPredictor::restore(r)?;
-        if footprint.backend() != self.footprint.backend() {
-            return Err(SnapshotError::Corrupt(format!(
-                "unison image tracks footprints with `{}`, this configuration expects `{}`",
-                footprint.backend().label(),
-                self.footprint.backend().label()
-            )));
-        }
-        self.footprint = footprint;
+        self.footprint = FootprintPredictor::restore(r)?;
         Ok(())
     }
 }

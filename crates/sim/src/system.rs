@@ -947,8 +947,15 @@ mod tests {
         // The acceptance bar of the snapshot subsystem: resuming from a
         // warmed image must reproduce the cold run's SimResult *byte for
         // byte*. HMA is included because its residency set survives via a
-        // mutation journal, the subtlest of the persisted structures.
-        for design in [DramCacheDesign::Banshee, DramCacheDesign::Hma] {
+        // mutation journal, the subtlest of the persisted structures; TDC
+        // and Unison because their footprint predictors carry the touched
+        // lines of every resident page across the warm-up boundary.
+        for design in [
+            DramCacheDesign::Banshee,
+            DramCacheDesign::Hma,
+            DramCacheDesign::Tdc,
+            DramCacheDesign::Unison,
+        ] {
             let w = workload();
             let cfg = SimConfig::test_default(design);
             let cold = run_one(cfg.clone(), &w);

@@ -164,9 +164,6 @@ pub struct ScenarioOverrides {
     pub dram_read_queue_depth: Option<usize>,
     /// Enable/disable periodic refresh (tREFI/tRFC) on both DRAM devices.
     pub dram_refresh: Option<bool>,
-    /// Frequency-tracking backend for every design (`"exact"` or
-    /// `"cms:<width>x<depth>"`).
-    pub frequency_backend: Option<banshee_common::FrequencyBackendKind>,
 }
 
 impl ScenarioOverrides {
@@ -193,8 +190,7 @@ pub struct ScenarioTelemetry {
 
 /// The sweep matrix: cells are the cross product of workloads × designs ×
 /// `footprint_factors` × `seeds` × the optional axes (`page_policies`,
-/// `write_queue_depths`, `frequency_backends` — empty means "use the
-/// config's value", one cell).
+/// `write_queue_depths` — empty means "use the config's value", one cell).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSweep {
     /// Workload footprint as a multiple of the DRAM-cache capacity.
@@ -205,8 +201,6 @@ pub struct ScenarioSweep {
     pub page_policies: Vec<DramPagePolicyOverride>,
     /// DRAM write-queue depths to sweep (empty: no sweep on this axis).
     pub write_queue_depths: Vec<usize>,
-    /// Frequency-tracking backends to sweep (empty: no sweep on this axis).
-    pub frequency_backends: Vec<banshee_common::FrequencyBackendKind>,
 }
 
 impl Default for ScenarioSweep {
@@ -216,7 +210,6 @@ impl Default for ScenarioSweep {
             seeds: vec![42],
             page_policies: Vec::new(),
             write_queue_depths: Vec::new(),
-            frequency_backends: Vec::new(),
         }
     }
 }
@@ -499,7 +492,6 @@ impl ScenarioSpec {
             * self.sweep.seeds.len()
             * self.sweep.page_policies.len().max(1)
             * self.sweep.write_queue_depths.len().max(1)
-            * self.sweep.frequency_backends.len().max(1)
     }
 
     fn from_value(value: &Value, base_dir: &Path) -> Result<ScenarioSpec, ScenarioError> {
@@ -969,7 +961,6 @@ fn parse_sweep(value: &Value) -> Result<ScenarioSweep, ScenarioError> {
             "seeds",
             "page_policies",
             "write_queue_depths",
-            "frequency_backends",
         ],
     )?;
     let mut sweep = ScenarioSweep::default();
@@ -1040,24 +1031,6 @@ fn parse_sweep(value: &Value) -> Result<ScenarioSweep, ScenarioError> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(v) = get(obj, "frequency_backends") {
-        let items = as_array(v, "scenario.sweep.frequency_backends")?;
-        if items.is_empty() {
-            return Err(err(
-                "scenario.sweep.frequency_backends",
-                "must not be empty (omit the field to skip the sweep)",
-            ));
-        }
-        sweep.frequency_backends = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let path = format!("scenario.sweep.frequency_backends[{i}]");
-                let label = as_string(x, &path)?;
-                banshee_common::FrequencyBackendKind::parse(&label).map_err(|e| err(&path, e))
-            })
-            .collect::<Result<_, _>>()?;
-    }
     Ok(sweep)
 }
 
@@ -1084,7 +1057,6 @@ fn parse_overrides(value: &Value) -> Result<ScenarioOverrides, ScenarioError> {
             "dram_write_queue_depth",
             "dram_read_queue_depth",
             "dram_refresh",
-            "frequency_backend",
         ],
     )?;
     let mut o = ScenarioOverrides::default();
@@ -1162,12 +1134,6 @@ fn parse_overrides(value: &Value) -> Result<ScenarioOverrides, ScenarioError> {
     }
     if let Some(v) = get(obj, "dram_refresh") {
         o.dram_refresh = Some(as_bool(v, &format!("{p}.dram_refresh"))?);
-    }
-    if let Some(v) = get(obj, "frequency_backend") {
-        let path = format!("{p}.frequency_backend");
-        let label = as_string(v, &path)?;
-        o.frequency_backend =
-            Some(banshee_common::FrequencyBackendKind::parse(&label).map_err(|e| err(&path, e))?);
     }
     Ok(o)
 }
@@ -1328,65 +1294,32 @@ mod tests {
     }
 
     #[test]
-    fn frequency_backend_parses_in_config_and_sweep() {
-        use banshee_common::FrequencyBackendKind;
-        let json = r#"{
-            "name": "freq",
-            "workloads": [{"type": "builtin", "name": "mcf"}],
-            "sweep": {"frequency_backends": ["exact", "cms:4096x4", "cms:1024x2"]},
-            "config": {"frequency_backend": "cms:8192x4"}
-        }"#;
-        let spec = ScenarioSpec::from_json_str(json, base()).unwrap();
-        assert_eq!(
-            spec.overrides.frequency_backend,
-            Some(FrequencyBackendKind::Cms {
-                width: 8192,
-                depth: 4
-            })
-        );
-        assert_eq!(
-            spec.sweep.frequency_backends,
-            vec![
-                FrequencyBackendKind::Exact,
-                FrequencyBackendKind::Cms {
-                    width: 4096,
-                    depth: 4
-                },
-                FrequencyBackendKind::Cms {
-                    width: 1024,
-                    depth: 2
-                },
-            ]
-        );
-        // 1 workload × 1 factor × 1 seed × 3 backends.
-        assert_eq!(spec.cells_per_design(), 3);
-    }
-
-    #[test]
     fn frequency_backend_errors_name_the_path_and_grammar() {
-        let bad_config = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
-            "config": {"frequency_backend": "sketchy"}}"#;
-        let e = ScenarioSpec::from_json_str(bad_config, base())
+        // Neither key is part of the schema: the unknown-field check must
+        // name the object and list the fields it does accept.
+        let old_config = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
+            "config": {"frequency_backend": "exact"}}"#;
+        let e = ScenarioSpec::from_json_str(old_config, base())
             .unwrap_err()
             .to_string();
         assert!(
-            e.contains("scenario.config.frequency_backend") && e.contains("cms:<width>x<depth>"),
+            e.contains("scenario.config")
+                && e.contains("unknown field `frequency_backend`")
+                && e.contains("valid fields: cores"),
             "{e}"
         );
 
-        let bad_axis = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
-            "sweep": {"frequency_backends": ["cms:4096"]}}"#;
-        let e = ScenarioSpec::from_json_str(bad_axis, base())
+        let old_axis = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
+            "sweep": {"frequency_backends": ["exact"]}}"#;
+        let e = ScenarioSpec::from_json_str(old_axis, base())
             .unwrap_err()
             .to_string();
-        assert!(e.contains("frequency_backends[0]"), "{e}");
-
-        let empty_axis = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
-            "sweep": {"frequency_backends": []}}"#;
-        let e = ScenarioSpec::from_json_str(empty_axis, base())
-            .unwrap_err()
-            .to_string();
-        assert!(e.contains("omit the field"), "{e}");
+        assert!(
+            e.contains("scenario.sweep")
+                && e.contains("unknown field `frequency_backends`")
+                && e.contains("valid fields: footprint_factors"),
+            "{e}"
+        );
     }
 
     #[test]
