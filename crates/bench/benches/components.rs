@@ -76,6 +76,34 @@ fn bench_dram_channel(c: &mut Criterion) {
     });
 }
 
+/// The write path: ~45% writes (lbm's store share) fill the write queue past
+/// its high watermark, so the loop keeps reaching the write drain and its
+/// FR-FCFS pick, which the read-only case above never does.
+fn bench_dram_write_drain(c: &mut Criterion) {
+    c.bench_function("dram_device_write_drain", |b| {
+        let mut dev = DramDevice::new(
+            banshee_common::DramKind::InPackage,
+            DramConfig::in_package_default(),
+        );
+        let mut now = 0u64;
+        let mut i = 0u64;
+        b.iter(|| {
+            now += 4;
+            i = i.wrapping_add(1);
+            let write = i % 20 < 9;
+            let class = if write {
+                TrafficClass::Writeback
+            } else {
+                TrafficClass::HitData
+            };
+            // A scattered stream over 64 pages: row hits and conflicts mix.
+            let addr = Addr::new((i.wrapping_mul(0x9E37) % 4096) * 64);
+            black_box(dev.access(now, addr, 64, class, write));
+        });
+        assert!(dev.write_drain_count() > 0, "the bench never drained");
+    });
+}
+
 fn bench_tlb(c: &mut Criterion) {
     c.bench_function("tlb_lookup", |b| {
         let mut tlb = Tlb::new(64);
@@ -126,6 +154,7 @@ criterion_group!(
     bench_fbr,
     bench_sram_cache,
     bench_dram_channel,
+    bench_dram_write_drain,
     bench_tlb,
     bench_trace_generation,
     bench_banshee_controller

@@ -27,11 +27,23 @@
 //! accesses), and *write interference* (drain bursts delaying demand reads).
 //!
 //! All state is allocated at construction (queue and per-bank rings are
-//! fixed-capacity); no access allocates.
+//! fixed-capacity); no access allocates. Bus occupancy comes from a
+//! per-granule table, so past the first transfer of each size no access
+//! does floating point, and at power-of-two geometry none divides. The
+//! write queue is kept in arrival order, so both schedulers pick with a
+//! front-to-back scan that stops early.
 
 use crate::config::{DramConfig, PagePolicy, SchedulerKind};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::{Addr, Cycle, FastDivMod, TrafficClass};
+use banshee_common::{Addr, Cycle, FastDivMod, TrafficClass, PAGE_SIZE};
+
+#[cfg(test)]
+mod reference;
+
+/// Largest transfer the bus-time table covers without falling back to
+/// [`DramConfig::transfer_cycles`]: one 4 KiB page, the biggest op any
+/// design issues per access.
+const BUS_TABLE_BYTES: u64 = PAGE_SIZE;
 
 /// What the row buffer did for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +142,16 @@ pub struct Channel {
     banks: Vec<Bank>,
     row_div: FastDivMod,
     bank_div: FastDivMod,
+    /// Divides a rounded byte count into whole transfer granules.
+    granule_div: FastDivMod,
+    /// `bus_cycles[k]` caches [`DramConfig::transfer_cycles`] of `k`
+    /// granules, for every `k` up to [`BUS_TABLE_BYTES`]; 0 marks an entry
+    /// not computed yet (every transfer occupies the bus at least 1 cycle).
+    /// Filled on first use: computing all of it at construction would cost
+    /// more than the rest of a channel's set-up.
+    bus_cycles: Box<[Cycle]>,
     bus_free: Cycle,
+    /// Pending writes in arrival (ascending `seq`) order.
     write_queue: Vec<WriteEntry>,
     next_refresh: Cycle,
     write_seq: u64,
@@ -172,6 +193,8 @@ impl Channel {
             t_refi: cfg.refresh_interval_cycles(),
             t_rfc: cfg.refresh_duration_cycles(),
         };
+        let granule = cfg.min_transfer_bytes;
+        let table_len = BUS_TABLE_BYTES.div_ceil(granule) as usize + 1;
         Channel {
             timing,
             banks: (0..cfg.banks_per_channel)
@@ -179,6 +202,8 @@ impl Channel {
                 .collect(),
             row_div: FastDivMod::new(cfg.row_buffer_bytes),
             bank_div: FastDivMod::new(cfg.banks_per_channel as u64),
+            granule_div: FastDivMod::new(granule),
+            bus_cycles: vec![0; table_len].into_boxed_slice(),
             bus_free: 0,
             write_queue: Vec::with_capacity(cfg.write_queue_depth),
             next_refresh: timing.t_refi,
@@ -280,6 +305,23 @@ impl Channel {
         )
     }
 
+    /// Bus occupancy of a transfer of `rounded` bytes (already a multiple of
+    /// the granule): a table lookup, with the formula beyond the table.
+    #[inline]
+    fn bus_cycles_for(&mut self, rounded: u64) -> Cycle {
+        match self
+            .bus_cycles
+            .get_mut(self.granule_div.div(rounded) as usize)
+        {
+            Some(&mut cycles) if cycles != 0 => cycles,
+            Some(slot) => {
+                *slot = self.config.transfer_cycles(rounded);
+                *slot
+            }
+            None => self.config.transfer_cycles(rounded),
+        }
+    }
+
     /// Apply every all-bank refresh scheduled before `now`: close all rows
     /// and block every bank for tRFC.
     fn advance_refresh(&mut self, now: Cycle) {
@@ -306,16 +348,18 @@ impl Channel {
         }
     }
 
-    /// Service one request on its bank and the bus, returning its timing.
+    /// Service one request of `rounded` bytes (a multiple of the granule)
+    /// on its bank and the bus, returning its timing.
     fn service(
         &mut self,
         now: Cycle,
         bank_idx: usize,
         row: u64,
-        bytes: u64,
+        rounded: u64,
         class: TrafficClass,
     ) -> ChannelAccess {
         let t = self.timing;
+        let transfer = self.bus_cycles_for(rounded);
         let bank = &mut self.banks[bank_idx];
 
         // Bounded queue: wait for the request `depth` ago to finish, and for
@@ -343,14 +387,13 @@ impl Channel {
             None => (RowBufferOutcome::Closed, Some(start), start + t.closed),
         };
 
-        let transfer = self.config.transfer_cycles(bytes);
         let bus_start = data_ready.max(self.bus_free);
         let finish = bus_start + transfer;
 
         // Bus accounting.
         self.bus_free = finish;
         self.busy_cycles += transfer;
-        self.transferred[class.index()] += self.config.round_to_min_transfer(bytes);
+        self.transferred[class.index()] += rounded;
         self.accesses += 1;
         match outcome {
             RowBufferOutcome::Hit => self.row_hits += 1,
@@ -360,7 +403,10 @@ impl Channel {
 
         // Bank bookkeeping.
         bank.ring[bank.ring_idx as usize] = finish;
-        bank.ring_idx = (bank.ring_idx + 1) % bank.ring.len() as u32;
+        bank.ring_idx += 1;
+        if bank.ring_idx as usize == bank.ring.len() {
+            bank.ring_idx = 0;
+        }
         if closed_policy {
             // Auto-precharge: the row closes, and the next activate must
             // respect tRAS + tRP from this one.
@@ -398,7 +444,8 @@ impl Channel {
     ) -> ChannelAccess {
         self.advance_refresh(now);
         let (bank, row) = self.decode(addr);
-        self.service(now, bank, row, bytes, class)
+        let rounded = self.config.round_to_min_transfer(bytes);
+        self.service(now, bank, row, rounded, class)
     }
 
     /// Post a write of `bytes` at `addr` at `now`. With a write queue the
@@ -413,15 +460,15 @@ impl Channel {
     ) -> ChannelAccess {
         self.advance_refresh(now);
         let (bank, row) = self.decode(addr);
+        let rounded = self.config.round_to_min_transfer(bytes);
         if self.config.write_queue_depth == 0 {
-            return self.service(now, bank, row, bytes, class);
+            return self.service(now, bank, row, rounded, class);
         }
         if self.write_queue.len() == self.config.write_queue_depth {
             // Queue full (possible when the low watermark equals capacity
             // minus one burst): force a drain before accepting the write.
             self.drain_writes_to(now, self.config.write_low_watermark);
         }
-        let rounded = self.config.round_to_min_transfer(bytes);
         self.queued[class.index()] += rounded;
         self.writes_buffered += 1;
         self.write_queue.push(WriteEntry {
@@ -444,7 +491,8 @@ impl Channel {
     }
 
     /// Drain queued writes until at most `target` remain, picking row-buffer
-    /// hits first under FR-FCFS (oldest first under FCFS).
+    /// hits first under FR-FCFS (oldest first under FCFS). `Vec::remove`
+    /// keeps the queue in arrival order, so the front is always the oldest.
     fn drain_writes_to(&mut self, now: Cycle, target: usize) {
         if self.write_queue.len() > target {
             self.write_drains += 1;
@@ -452,9 +500,9 @@ impl Channel {
         while self.write_queue.len() > target {
             let pick = match self.config.scheduler {
                 SchedulerKind::FrFcfs => self.pick_fr_fcfs(),
-                SchedulerKind::Fcfs => self.pick_oldest(),
+                SchedulerKind::Fcfs => 0,
             };
-            let e = self.write_queue.swap_remove(pick);
+            let e = self.write_queue.remove(pick);
             self.queued[e.class.index()] -= e.bytes;
             self.service(
                 now.max(e.enqueued),
@@ -466,31 +514,14 @@ impl Channel {
         }
     }
 
-    /// Index of the queued write with the lowest sequence number.
-    fn pick_oldest(&self) -> usize {
-        let mut best = 0;
-        for (i, e) in self.write_queue.iter().enumerate() {
-            if e.seq < self.write_queue[best].seq {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// FR-FCFS: the oldest write whose row is open in its bank; otherwise
-    /// the oldest write overall.
+    /// the oldest write overall. The queue is in arrival order, so that is
+    /// the first open-row hit front to back, else the front.
     fn pick_fr_fcfs(&self) -> usize {
-        let mut best = 0;
-        let mut best_key = (true, u64::MAX); // (is_row_miss, seq) — minimize
-        for (i, e) in self.write_queue.iter().enumerate() {
-            let row_miss = self.banks[e.bank as usize].open_row != Some(e.row);
-            let key = (row_miss, e.seq);
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
+        self.write_queue
+            .iter()
+            .position(|e| self.banks[e.bank as usize].open_row == Some(e.row))
+            .unwrap_or(0)
     }
 
     /// Force the write queue empty (end-of-run accounting, tests).
@@ -526,8 +557,8 @@ impl Channel {
             w.u32(bank.ring_idx);
         });
         w.u64(self.bus_free);
-        // The write queue is drained via `swap_remove`, so element order is
-        // semantic — write it verbatim.
+        // Each entry's `seq` carries its age; the schedulers pick by it, so
+        // the order entries are written in does not matter (restore sorts).
         w.seq_with(&self.write_queue, |w, e| {
             w.u32(e.bank);
             w.u64(e.row);
@@ -614,6 +645,9 @@ impl Channel {
                 seq: r.u64()?,
             });
         }
+        // Images written before the queue kept arrival order hold it in
+        // `swap_remove` order; `seq` restores the arrival order either way.
+        self.write_queue.sort_unstable_by_key(|e| e.seq);
         self.next_refresh = r.u64()?;
         self.write_seq = r.u64()?;
         self.busy_cycles = r.u64()?;
@@ -625,6 +659,40 @@ impl Channel {
         self.write_drains = r.u64()?;
         for v in self.transferred.iter_mut().chain(self.queued.iter_mut()) {
             *v = r.u64()?;
+        }
+        self.check_write_queue()
+    }
+
+    /// The restored write queue must agree with the counters saved beside
+    /// it: unique `seq`s below `write_seq`, and per-class byte sums equal to
+    /// `queued` (a drain subtracts each entry's bytes from its class).
+    fn check_write_queue(&self) -> Result<(), SnapshotError> {
+        if let Some(pair) = self.write_queue.windows(2).find(|p| p[0].seq == p[1].seq) {
+            return Err(SnapshotError::Corrupt(format!(
+                "two queued writes share seq {}",
+                pair[0].seq
+            )));
+        }
+        if let Some(last) = self.write_queue.last() {
+            if last.seq >= self.write_seq {
+                return Err(SnapshotError::Corrupt(format!(
+                    "queued write seq {} is not below the next seq {}",
+                    last.seq, self.write_seq
+                )));
+            }
+        }
+        let mut sums = [0u64; TrafficClass::ALL.len()];
+        for e in &self.write_queue {
+            let sum = &mut sums[e.class.index()];
+            *sum = sum
+                .checked_add(e.bytes)
+                .ok_or_else(|| SnapshotError::Corrupt("queued write bytes overflow".to_string()))?;
+        }
+        if sums != self.queued {
+            return Err(SnapshotError::Corrupt(format!(
+                "queued bytes per class {:?} differ from the queued writes' {sums:?}",
+                self.queued
+            )));
         }
         Ok(())
     }
@@ -964,5 +1032,260 @@ mod tests {
         let mut c = cfg();
         c.write_low_watermark = c.write_high_watermark;
         let _ = Channel::new(&c);
+    }
+
+    /// The bus-time table must equal `DramConfig::transfer_cycles` for every
+    /// byte count, when an entry is filled, when it is read back and in the
+    /// fallback beyond the table, and the masked rounding must equal the
+    /// `div_ceil` form.
+    #[test]
+    fn bus_table_and_rounding_are_exact() {
+        let mut configs = Vec::new();
+        for base in [
+            DramConfig::in_package_default(),
+            DramConfig::off_package_default(),
+        ] {
+            configs.push(base.clone());
+            configs.push(DramConfig {
+                latency_scale: 0.5,
+                ..base.clone()
+            });
+            for granule in [64, 48] {
+                configs.push(DramConfig {
+                    min_transfer_bytes: granule,
+                    ..base.clone()
+                });
+            }
+            configs.push(DramConfig {
+                bus_bytes: 8,
+                ..base
+            });
+        }
+        for c in configs {
+            let mut ch = Channel::new(&c);
+            let table_bytes = (ch.bus_cycles.len() as u64 - 1) * c.min_transfer_bytes;
+            assert!(table_bytes >= BUS_TABLE_BYTES);
+            for bytes in 0..=2 * table_bytes {
+                let rounded = c.round_to_min_transfer(bytes);
+                assert_eq!(rounded, reference::div_ceil_round(&c, bytes), "{bytes} B");
+                assert_eq!(
+                    ch.bus_cycles_for(rounded),
+                    c.transfer_cycles(bytes),
+                    "{bytes} B with granule {} and bus {} B",
+                    c.min_transfer_bytes,
+                    c.bus_bytes
+                );
+            }
+        }
+    }
+
+    /// Everything a caller can observe of a channel besides its accesses.
+    fn observable(ch: &Channel, now: Cycle) -> Vec<u64> {
+        let mut v = vec![
+            ch.busy_cycles(),
+            ch.access_count(),
+            ch.row_hit_count(),
+            ch.row_conflict_count(),
+            ch.refresh_count(),
+            ch.buffered_write_count(),
+            ch.write_drain_count(),
+            ch.pending_writes() as u64,
+            ch.read_queue_occupancy(now) as u64,
+            ch.bus_free_at(),
+        ];
+        v.extend(ch.transferred_by_class());
+        v.extend(ch.queued_by_class());
+        v
+    }
+
+    fn image(ch: &Channel) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        ch.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(cfg: &DramConfig, image: &[u8]) -> Result<Channel, SnapshotError> {
+        let mut ch = Channel::new(cfg);
+        let mut r = SnapshotReader::new(image);
+        ch.load_state(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(ch)
+    }
+
+    /// One random op: kind (below 6 a read, else a write; the kind mod 6
+    /// picks the size), bank, row, gap since the last op.
+    type Op = (u8, u64, u64, u64);
+
+    /// Drive the fast path and the reference through the same ops and
+    /// require identical accesses and counters after every op.
+    fn run_both(
+        fast: &mut Channel,
+        slow: &mut reference::ReferenceChannel,
+        ops: &[Op],
+        now: &mut Cycle,
+    ) {
+        const SIZES: [u64; 6] = [1, 64, 72, 96, 4096, 5000];
+        let c = fast.config.clone();
+        for (i, &(kind, bank, row, gap)) in ops.iter().enumerate() {
+            *now += gap;
+            let row_base = (row * c.banks_per_channel as u64 + bank) * c.row_buffer_bytes;
+            let addr = Addr::new(row_base + (gap % 64) * 64);
+            let write = kind >= 6;
+            let bytes = SIZES[kind as usize % SIZES.len()];
+            let class = TrafficClass::ALL[i % TrafficClass::ALL.len()];
+            let (a, b) = if write {
+                (
+                    fast.write(*now, addr, bytes, class),
+                    slow.write(*now, addr, bytes, class),
+                )
+            } else {
+                (
+                    fast.read(*now, addr, bytes, class),
+                    slow.read(*now, addr, bytes, class),
+                )
+            };
+            assert_eq!(a, b, "op {i} ({write}, bank {bank}, row {row}, {bytes} B)");
+            assert_eq!(observable(fast, *now), observable(&slow.0, *now), "op {i}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The arrival-ordered queue with first-hit FR-FCFS / front FCFS,
+        /// the bus-time table and the masked rounding schedule exactly like
+        /// the O(n) `swap_remove` reference, under both schedulers and page
+        /// policies and write-queue depths 0, 2 and the default. Mid-run the
+        /// reference's image (in `swap_remove` order) is restored into a
+        /// fresh channel whose queue it fills, so the run continues through
+        /// a resume from an old-order image and a forced drain.
+        #[test]
+        fn prop_fast_path_matches_reference(
+            ops in proptest::collection::vec(
+                (0u8..12, 0u64..4, 0u64..3, 0u64..400),
+                1..250,
+            ),
+            split in 0usize..250,
+        ) {
+            let split = split.min(ops.len());
+            for scheduler in [SchedulerKind::FrFcfs, SchedulerKind::Fcfs] {
+                for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+                    for depth in [0, 2, cfg().write_queue_depth] {
+                        let mut c = DramConfig {
+                            banks_per_channel: 4,
+                            scheduler,
+                            page_policy,
+                            ..cfg()
+                        };
+                        if depth == 2 {
+                            c.write_queue_depth = 2;
+                            c.write_high_watermark = 2;
+                            c.write_low_watermark = 1;
+                        } else {
+                            c.write_queue_depth = depth;
+                        }
+                        let mut fast = Channel::new(&c);
+                        let mut slow = reference::ReferenceChannel::new(&c);
+                        let mut now = 0;
+                        run_both(&mut fast, &mut slow, &ops[..split], &mut now);
+
+                        // Shrink the queue to its current occupancy so the
+                        // next write finds it full.
+                        let pending = slow.0.pending_writes();
+                        if pending > 0 {
+                            c.write_queue_depth = pending;
+                            c.write_high_watermark = pending;
+                            c.write_low_watermark = c.write_low_watermark.min(pending - 1);
+                            slow.0.config = c.clone();
+                        }
+                        let mut fast = restored(&c, &image(&slow.0)).expect("old-order image");
+                        run_both(&mut fast, &mut slow, &ops[split..], &mut now);
+
+                        fast.drain_all_writes(now);
+                        slow.drain_all_writes(now);
+                        assert_eq!(observable(&fast, now), observable(&slow.0, now));
+                        // With both queues empty the whole state is comparable.
+                        assert_eq!(image(&fast), image(&slow.0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A channel with writes of two classes in its queue, for the decoder
+    /// tests, and the byte offsets of its image's tail: the last queued
+    /// write's `seq`, `write_seq`, and the per-class `queued` counters.
+    fn queued_image() -> (Vec<u8>, usize, usize, usize) {
+        let mut ch = Channel::new(&cfg());
+        for i in 0..6u64 {
+            let class = if i % 2 == 0 {
+                TrafficClass::Writeback
+            } else {
+                TrafficClass::Replacement
+            };
+            ch.write(i, Addr::new(i * 4096), 64, class);
+        }
+        assert_eq!(ch.pending_writes(), 6);
+        let bytes = image(&ch);
+        let classes = TrafficClass::ALL.len();
+        // After the queue: nine u64s (next_refresh, write_seq, then the
+        // counters) and the transferred and queued arrays.
+        let tail = bytes.len() - (9 + 2 * classes) * 8;
+        let queued = bytes.len() - classes * 8;
+        (bytes, tail - 8, tail + 8, queued)
+    }
+
+    fn read_u64(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    fn write_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn assert_corrupt(image: &[u8]) {
+        match restored(&cfg(), image) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("expected Corrupt, got Ok"),
+        }
+    }
+
+    #[test]
+    fn decoder_test_image_restores() {
+        let (bytes, last_seq, write_seq, _) = queued_image();
+        assert_eq!(read_u64(&bytes, last_seq), 5);
+        assert_eq!(read_u64(&bytes, write_seq), 6);
+        let ch = restored(&cfg(), &bytes).expect("intact image");
+        assert_eq!(image(&ch), bytes);
+    }
+
+    /// A `queued` counter below its entries' bytes would underflow at the
+    /// next drain and break conservation; restore must refuse it.
+    #[test]
+    fn restore_rejects_queued_bytes_that_differ_from_the_queue() {
+        let (mut bytes, _, _, queued) = queued_image();
+        let at = queued + TrafficClass::Writeback.index() * 8;
+        let v = read_u64(&bytes, at);
+        write_u64(&mut bytes, at, v - 32);
+        assert_corrupt(&bytes);
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_seq() {
+        let (mut bytes, last_seq, _, _) = queued_image();
+        // Each entry is bank u32, row, bytes, class u8, enqueued, seq.
+        let previous_seq = last_seq - (4 + 8 + 8 + 1 + 8 + 8);
+        let v = read_u64(&bytes, previous_seq);
+        write_u64(&mut bytes, last_seq, v);
+        assert_corrupt(&bytes);
+    }
+
+    #[test]
+    fn restore_rejects_seq_at_or_beyond_write_seq() {
+        let (mut bytes, last_seq, write_seq, _) = queued_image();
+        let next = read_u64(&bytes, write_seq);
+        write_u64(&mut bytes, last_seq, next);
+        assert_corrupt(&bytes);
     }
 }

@@ -179,12 +179,17 @@ impl DramConfig {
             .max(1)
     }
 
-    /// Round a byte count up to the link's minimum transfer granule.
+    /// Round a byte count up to the link's minimum transfer granule. Runs
+    /// on every DRAM op, so a power-of-two granule (the paper's 32 B) rounds
+    /// with a mask; any other granule takes the `div_ceil` form.
+    #[inline]
     pub fn round_to_min_transfer(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
+        let granule = self.min_transfer_bytes;
+        if granule.is_power_of_two() {
+            (bytes + (granule - 1)) & !(granule - 1)
+        } else {
+            bytes.div_ceil(granule) * granule
         }
-        bytes.div_ceil(self.min_transfer_bytes) * self.min_transfer_bytes
     }
 
     /// Row-buffer-hit access latency (CAS only) in CPU cycles, with the

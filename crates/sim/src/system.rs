@@ -974,6 +974,94 @@ mod tests {
         }
     }
 
+    /// Re-encode a [`DualDram`] image with every channel's write queue
+    /// reversed, so the queues are no longer in arrival order, as in images
+    /// written while the queue was drained with `swap_remove`. Also returns
+    /// whether any queue held two or more writes (else nothing moved).
+    fn reverse_write_queues(image: &[u8]) -> (Vec<u8>, bool) {
+        let mut r = SnapshotReader::new(image);
+        let mut w = SnapshotWriter::new();
+        let u64s = |r: &mut SnapshotReader<'_>, w: &mut SnapshotWriter, n: usize| {
+            for _ in 0..n {
+                w.u64(r.u64().unwrap());
+            }
+        };
+        let mut reordered = false;
+        for _device in 0..2 {
+            let channels = r.usize().unwrap();
+            w.usize(channels);
+            for _ in 0..channels {
+                let banks = r.usize().unwrap();
+                w.usize(banks);
+                for _ in 0..banks {
+                    let open = r.bool().unwrap();
+                    w.bool(open);
+                    // Open row if any, busy_until, ras_until.
+                    u64s(&mut r, &mut w, 2 + usize::from(open));
+                    let ring = r.usize().unwrap();
+                    w.usize(ring);
+                    u64s(&mut r, &mut w, ring);
+                    w.u32(r.u32().unwrap());
+                }
+                u64s(&mut r, &mut w, 1); // bus_free
+                let queued = r.usize().unwrap();
+                let mut entries: Vec<_> = (0..queued)
+                    .map(|_| {
+                        let bank = r.u32().unwrap();
+                        let (row, bytes) = (r.u64().unwrap(), r.u64().unwrap());
+                        let class = TrafficClass::restore(&mut r).unwrap();
+                        (bank, row, bytes, class, r.u64().unwrap(), r.u64().unwrap())
+                    })
+                    .collect();
+                entries.reverse();
+                reordered |= queued >= 2;
+                w.usize(queued);
+                for (bank, row, bytes, class, enqueued, seq) in entries {
+                    w.u32(bank);
+                    w.u64(row);
+                    w.u64(bytes);
+                    class.save(&mut w);
+                    w.u64(enqueued);
+                    w.u64(seq);
+                }
+                // next_refresh, write_seq, seven counters, then the
+                // transferred and queued bytes per class.
+                u64s(&mut r, &mut w, 9 + 2 * TrafficClass::ALL.len());
+            }
+            for _ in 0..2 {
+                TrafficStats::restore(&mut r).unwrap().save(&mut w);
+            }
+            u64s(&mut r, &mut w, 2); // access_count, total_latency
+        }
+        assert!(r.is_exhausted());
+        (w.into_bytes(), reordered)
+    }
+
+    #[test]
+    fn write_queues_saved_out_of_arrival_order_resume_to_the_cold_result() {
+        let w = workload();
+        let cfg = SimConfig::test_default(DramCacheDesign::Banshee);
+        let cold = run_one(cfg.clone(), &w);
+
+        let mut sys = System::new(cfg.clone(), &w);
+        let warmed = sys.warm_up().expect("non-empty run");
+        let image = sys.warmed_image(&w.name(), warmed);
+        let mut dram_image = SnapshotWriter::new();
+        sys.dram.save_state(&mut dram_image);
+        let (reversed, reordered) = reverse_write_queues(&dram_image.into_bytes());
+        assert!(reordered, "no channel had two queued writes to reorder");
+        sys.dram
+            .load_state(&mut SnapshotReader::new(&reversed))
+            .expect("reordered queues restore");
+        // Restore puts the queues back in arrival order.
+        assert_eq!(sys.warmed_image(&w.name(), warmed), image);
+        let result = sys.run_measured(&w.name(), Some(warmed));
+        assert_eq!(
+            serde_json::to_string_pretty(&result).unwrap(),
+            serde_json::to_string_pretty(&cold).unwrap()
+        );
+    }
+
     #[test]
     fn warmed_image_is_shared_across_measurement_budgets() {
         // total_instructions is the only post-warm-up knob: an image captured
